@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/core"
 	"svto/internal/gen"
 	"svto/internal/library"
@@ -286,27 +287,8 @@ func main() {
 		fmt.Printf("%-12s leak=%8.2f µA  (%.1fX)  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
 			label, sol.Leak/1000, avg/sol.Leak, sol.Isub/1000, sol.Delay, sol.Stats.Runtime.Round(time.Millisecond), note)
 		if *showStats {
-			fmt.Printf("             state nodes %d, gate trials %d, leaves %d (cache hits %d), pruned %d\n",
-				sol.Stats.StateNodes, sol.Stats.GateTrials, sol.Stats.Leaves, sol.Stats.LeafCacheHits, sol.Stats.Pruned)
-			if sol.Stats.BatchSweeps > 0 {
-				fmt.Printf("             batch occupancy %.1f lanes/sweep\n",
-					float64(sol.Stats.BatchLanes)/float64(sol.Stats.BatchSweeps))
-			}
-			if sol.Stats.RelaxBounds > 0 {
-				fmt.Printf("             relax probes %d (pruned %d)\n",
-					sol.Stats.RelaxBounds, sol.Stats.RelaxPruned)
-			}
-			if sol.Stats.PortfolioWins > 0 {
-				fmt.Printf("             portfolio wins %d\n", sol.Stats.PortfolioWins)
-			}
-			if sol.Stats.Resumed {
-				fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n",
-					sol.Stats.PriorRuntime.Round(time.Millisecond))
-			}
-			if sol.Stats.CheckpointWrites > 0 || sol.Stats.CheckpointErrors > 0 {
-				fmt.Printf("             checkpoint writes %d (errors %d)\n",
-					sol.Stats.CheckpointWrites, sol.Stats.CheckpointErrors)
-			}
+			st := sol.Stats
+			printStats(st.Counters().Get(), st.Resumed, st.PriorRuntime, st.CheckpointWrites, st.CheckpointErrors)
 		}
 		if *showVec {
 			fmt.Print("             sleep vector: ")
@@ -491,4 +473,28 @@ func fatal(err error) {
 	stopProfiles()
 	fmt.Fprintln(os.Stderr, "leakopt:", err)
 	os.Exit(1)
+}
+
+// printStats is the -stats block of local runs and daemon jobs alike: every
+// search counter by its wire name, five to a line, then the batch lane
+// occupancy and the run's resume and checkpoint provenance.
+func printStats(c checkpoint.Stats, resumed bool, prior time.Duration, ckWrites, ckErrors int64) {
+	for i, v := range c.Counters() {
+		if i%5 == 0 {
+			fmt.Print("            ")
+		}
+		fmt.Printf(" %s=%d", checkpoint.CounterNames[i], *v)
+		if i%5 == 4 || i == checkpoint.NumCounters-1 {
+			fmt.Println()
+		}
+	}
+	if c.BatchSweeps > 0 {
+		fmt.Printf("             batch occupancy %.1f lanes/sweep\n", float64(c.BatchLanes)/float64(c.BatchSweeps))
+	}
+	if resumed {
+		fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n", prior.Round(time.Millisecond))
+	}
+	if ckWrites > 0 || ckErrors > 0 {
+		fmt.Printf("             checkpoint writes %d (errors %d)\n", ckWrites, ckErrors)
+	}
 }

@@ -161,31 +161,10 @@ func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitW
 		string(req.Search.Algorithm), res.LeakNA/1000, ratio, res.IsubNA/1000,
 		res.DelayPS, res.Stats.Runtime.Round(time.Millisecond), note)
 	if showStats {
-		// Same shape the local -stats print uses, fed from the daemon's
-		// result document — which in cluster mode carries the counters
-		// merged across every shard.
-		fmt.Printf("             state nodes %d, gate trials %d, leaves %d (cache hits %d), pruned %d\n",
-			res.Stats.StateNodes, res.Stats.GateTrials, res.Stats.Leaves,
-			res.Stats.LeafCacheHits, res.Stats.Pruned)
-		if res.Stats.BatchSweeps > 0 {
-			fmt.Printf("             batch occupancy %.1f lanes/sweep\n",
-				float64(res.Stats.BatchLanes)/float64(res.Stats.BatchSweeps))
-		}
-		if res.Stats.RelaxBounds > 0 {
-			fmt.Printf("             relax probes %d (pruned %d)\n",
-				res.Stats.RelaxBounds, res.Stats.RelaxPruned)
-		}
-		if res.Stats.PortfolioWins > 0 {
-			fmt.Printf("             portfolio wins %d\n", res.Stats.PortfolioWins)
-		}
-		if res.Resumed {
-			fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n",
-				res.PriorRuntime.Round(time.Millisecond))
-		}
-		if res.Stats.CheckpointWrites > 0 || res.Stats.CheckpointErrors > 0 {
-			fmt.Printf("             checkpoint writes %d (errors %d)\n",
-				res.Stats.CheckpointWrites, res.Stats.CheckpointErrors)
-		}
+		// The daemon's result document carries, in cluster mode, the
+		// counters merged across every shard.
+		st := res.Stats
+		printStats(st.Counters().Get(), res.Resumed, res.PriorRuntime, st.CheckpointWrites, st.CheckpointErrors)
 		printClusterHealth(ctx, baseURL)
 	}
 	for _, wf := range res.WorkerFailures {

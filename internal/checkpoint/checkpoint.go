@@ -31,6 +31,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"time"
 )
 
@@ -61,19 +63,82 @@ const (
 	maxCount = 1 << 26
 )
 
-// Stats mirrors the search counters worth carrying across a crash.
+// Stats holds the search counters, the instrumentation of the paper's
+// two-tree search (state tree × gate tree, figure 4), and is the one
+// declaration of them: its fields, in order, are the counter list that the
+// engine's shared totals, this codec, the cluster lease wire, the public
+// result and progress shapes and the CLI's -stats block all iterate.  Every
+// counter is a sum, so merging two Stats adds them.  The order is the
+// snapshot's: the first headerCounters travel in the payload header, the
+// rest in the version-3 trailing section.  The JSON tags are the lease
+// wire's keys.
 type Stats struct {
-	StateNodes    int64
-	GateTrials    int64
-	Leaves        int64
-	Pruned        int64
-	LeafCacheHits int64
-	BatchSweeps   int64
-	BatchLanes    int64
-	RelaxBounds   int64
-	RelaxPruned   int64
-	PortfolioWins int64
+	StateNodes    int64 `json:"state_nodes,omitempty"`
+	GateTrials    int64 `json:"gate_trials,omitempty"`
+	Leaves        int64 `json:"leaves,omitempty"`
+	Pruned        int64 `json:"pruned,omitempty"`
+	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
+	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
+	BatchLanes    int64 `json:"batch_lanes,omitempty"`
+	RelaxBounds   int64 `json:"relax_bounds,omitempty"`
+	RelaxPruned   int64 `json:"relax_pruned,omitempty"`
+	PortfolioWins int64 `json:"portfolio_wins,omitempty"`
 }
+
+// NumCounters is the length of the counter list.
+const NumCounters = 10
+
+// headerCounters is how many counters precede the failure list in the
+// payload; the rest were added by format version 3 as a trailing section.
+const headerCounters = 7
+
+// Counters binds one struct's counter fields to the list: element i points
+// at the field holding counter i.  Each struct that keeps the counters as
+// named fields builds its Counters in exactly one method; copies and
+// conversions go through Get and Set.
+type Counters [NumCounters]*int64
+
+// Counters binds s to the list.  This is the list's declaration order.
+func (s *Stats) Counters() Counters {
+	return Counters{
+		&s.StateNodes, &s.GateTrials, &s.Leaves, &s.Pruned, &s.LeafCacheHits,
+		&s.BatchSweeps, &s.BatchLanes, &s.RelaxBounds, &s.RelaxPruned, &s.PortfolioWins,
+	}
+}
+
+// Get reads the bound fields.
+func (c Counters) Get() Stats {
+	var s Stats
+	for i, p := range s.Counters() {
+		*p = *c[i]
+	}
+	return s
+}
+
+// Set writes s into the bound fields.
+func (c Counters) Set(s Stats) {
+	for i, p := range s.Counters() {
+		*c[i] = *p
+	}
+}
+
+// Add sums o into s, counter by counter.
+func (s *Stats) Add(o Stats) {
+	dst := s.Counters()
+	for i, p := range o.Counters() {
+		*dst[i] += *p
+	}
+}
+
+// CounterNames are the counters' wire names (the Stats JSON keys), in list
+// order.
+var CounterNames = func() (names [NumCounters]string) {
+	t := reflect.TypeOf(Stats{})
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}()
 
 // Multiplier is one cached Lagrangian multiplier of the relaxation bound
 // engine: the optimal λ of (gate, state).  Only non-zero multipliers are
@@ -224,13 +289,10 @@ func (s *Snapshot) marshal() []byte {
 	w.i64(int64(s.Elapsed))
 	w.i64(int64(s.SplitDepth))
 	w.i64(s.LeavesUsed)
-	w.i64(s.Stats.StateNodes)
-	w.i64(s.Stats.GateTrials)
-	w.i64(s.Stats.Leaves)
-	w.i64(s.Stats.Pruned)
-	w.i64(s.Stats.LeafCacheHits)
-	w.i64(s.Stats.BatchSweeps)
-	w.i64(s.Stats.BatchLanes)
+	counters := s.Stats.Counters()
+	for _, c := range counters[:headerCounters] {
+		w.i64(*c)
+	}
 	w.u32(uint32(len(s.Failures)))
 	for _, f := range s.Failures {
 		w.u32(uint32(f.Worker))
@@ -268,11 +330,11 @@ func (s *Snapshot) marshal() []byte {
 	for _, vec := range s.Frontier {
 		w.b = append(w.b, vec...)
 	}
-	// Version-3 trailing sections: relaxation/portfolio counters, then the
+	// Version-3 trailing sections: the remaining counters, then the
 	// multiplier cache.
-	w.i64(s.Stats.RelaxBounds)
-	w.i64(s.Stats.RelaxPruned)
-	w.i64(s.Stats.PortfolioWins)
+	for _, c := range counters[headerCounters:] {
+		w.i64(*c)
+	}
 	if s.HasMultipliers {
 		w.u8(1)
 	} else {
@@ -324,14 +386,9 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		SplitDepth:  int(r.i64()),
 		LeavesUsed:  r.i64(),
 	}
-	s.Stats = Stats{
-		StateNodes:    r.i64(),
-		GateTrials:    r.i64(),
-		Leaves:        r.i64(),
-		Pruned:        r.i64(),
-		LeafCacheHits: r.i64(),
-		BatchSweeps:   r.i64(),
-		BatchLanes:    r.i64(),
+	counters := s.Stats.Counters()
+	for _, c := range counters[:headerCounters] {
+		*c = r.i64()
 	}
 	nf := r.count()
 	for i := 0; i < nf && !r.failed; i++ {
@@ -369,9 +426,9 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		r.failed = true
 	}
 	if version >= 3 {
-		s.Stats.RelaxBounds = r.i64()
-		s.Stats.RelaxPruned = r.i64()
-		s.Stats.PortfolioWins = r.i64()
+		for _, c := range counters[headerCounters:] {
+			*c = r.i64()
+		}
 		s.HasMultipliers = r.u8() != 0
 		nm := r.count()
 		if nm > 0 {

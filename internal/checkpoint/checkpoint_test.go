@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -318,5 +319,71 @@ func TestSaveFailuresAreAtomic(t *testing.T) {
 				t.Errorf("temp files leaked: %v", entries)
 			}
 		})
+	}
+}
+
+// goldenV3 is the version-3 encoding of sampleSnapshot — every counter set
+// to a distinct value — as written before the counters were iterated from
+// one list.  The list must reproduce it byte for byte.
+const goldenV3 = "5356544f434b5054030000001e010000000000000df0fecaefbeadde80588d49" +
+	"0000000005000000000000002a000000000000006400000000000000d0070000" +
+	"0000000028000000000000001100000000000000030000000000000009000000" +
+	"000000002c01000000000000010000000200000012000000776f726b65722070" +
+	"616e69633a20626f6f6d1a000000676f726f7574696e652037205b72756e6e69" +
+	"6e675d3a0a2e2e2e010400000001000101030000000000000001000000030000" +
+	"0000000000020000000200000077be9f1a2fdd5e409a99999999b95340333333" +
+	"33338b7c40020000000400000000010202010102023700000000000000150000" +
+	"0000000000020000000000000001020000000000000001000000000000000000" +
+	"d03f02000000030000000000000000803140b04add7f"
+
+func TestMarshalGoldenV3(t *testing.T) {
+	if Version != 3 {
+		t.Fatalf("Version = %d, want 3", Version)
+	}
+	if got := hex.EncodeToString(sampleSnapshot().marshal()); got != goldenV3 {
+		t.Fatalf("v3 encoding changed:\n got %s\nwant %s", got, goldenV3)
+	}
+	want, err := hex.DecodeString(goldenV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snapEqual(got, sampleSnapshot()) {
+		t.Errorf("golden decode mismatch:\n got %+v\nwant %+v", got, sampleSnapshot())
+	}
+}
+
+// The list binds every Stats field exactly once, in declaration order, and
+// names each by its JSON key; Get, Set and Add go through it.
+func TestCountersFollowFieldOrder(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	if v.NumField() != NumCounters {
+		t.Fatalf("Stats has %d fields, NumCounters = %d", v.NumField(), NumCounters)
+	}
+	for i, p := range s.Counters() {
+		*p = int64(i + 1)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if got := v.Field(i).Int(); got != int64(i+1) {
+			t.Errorf("field %s holds %d, want counter %d", v.Type().Field(i).Name, got, i+1)
+		}
+		if tag := v.Type().Field(i).Tag.Get("json"); tag != CounterNames[i]+",omitempty" {
+			t.Errorf("field %s: tag %q, name %q", v.Type().Field(i).Name, tag, CounterNames[i])
+		}
+	}
+	var c Stats
+	c.Counters().Set(s)
+	if c != s || c.Counters().Get() != s {
+		t.Errorf("Set/Get round trip: %+v, want %+v", c, s)
+	}
+	c.Add(s)
+	for i, p := range c.Counters() {
+		if *p != 2*int64(i+1) {
+			t.Errorf("Add: counter %d = %d, want %d", i, *p, 2*(i+1))
+		}
 	}
 }

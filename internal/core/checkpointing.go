@@ -148,7 +148,6 @@ type resumeState struct {
 	elapsed    time.Duration
 	leavesUsed int64
 	splitDepth int
-	stats      checkpoint.Stats
 	failures   []WorkerFailure
 	tasks      [][]sim.Value
 	// mult is the snapshot's Lagrangian multiplier cache (nil when the
@@ -193,8 +192,10 @@ func (p *Problem) restoreSnapshot(snap *checkpoint.Snapshot) (*resumeState, erro
 		elapsed:    snap.Elapsed,
 		leavesUsed: snap.LeavesUsed,
 		splitDepth: snap.SplitDepth,
-		stats:      snap.Stats,
 	}
+	// The snapshot's counters seed the shared totals: a resume continues
+	// them rather than resetting.
+	rs.seed.Stats.Counters().Set(snap.Stats)
 	if rs.splitDepth < 0 || rs.splitDepth > len(p.piOrder) {
 		return nil, mismatch("split depth %d out of range (%d inputs)", rs.splitDepth, len(p.piOrder))
 	}
@@ -271,22 +272,11 @@ func (sh *sharedSearch) buildSnapshot(tp *taskPool) (*checkpoint.Snapshot, error
 		}
 	}
 	return &checkpoint.Snapshot{
-		Fingerprint: sh.fprint,
-		Elapsed:     sh.priorElapsed + time.Since(sh.start),
-		SplitDepth:  sh.splitDepth,
-		LeavesUsed:  sh.leafTickets.Load(),
-		Stats: checkpoint.Stats{
-			StateNodes:    sh.stateNodes.Load(),
-			GateTrials:    sh.gateTrials.Load(),
-			Leaves:        sh.leaves.Load(),
-			Pruned:        sh.pruned.Load(),
-			LeafCacheHits: sh.leafCacheHits.Load(),
-			BatchSweeps:   sh.batchSweeps.Load(),
-			BatchLanes:    sh.batchLanes.Load(),
-			RelaxBounds:   sh.relaxBounds.Load(),
-			RelaxPruned:   sh.relaxPruned.Load(),
-			PortfolioWins: sh.portfolioWins.Load(),
-		},
+		Fingerprint:    sh.fprint,
+		Elapsed:        sh.priorElapsed + time.Since(sh.start),
+		SplitDepth:     sh.splitDepth,
+		LeavesUsed:     sh.leafTickets.Load(),
+		Stats:          sh.counters(),
 		Failures:       failures,
 		HasMultipliers: sh.relax != nil,
 		Multipliers:    mult,

@@ -206,12 +206,8 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 		rng := rand.New(rand.NewSource(opt.Seed))
 		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
 	}
-	stats := SearchStats{
-		StateNodes:  sh.stateNodes.Load(),
-		Pruned:      sh.pruned.Load(),
-		BatchSweeps: sh.batchSweeps.Load(),
-		BatchLanes:  sh.batchLanes.Load(),
-	}
+	var stats SearchStats
+	stats.Counters().Set(sh.counters())
 	return tasks, stats, nil
 }
 
@@ -330,7 +326,9 @@ func cloneTasks(tasks [][]sim.Value) [][]sim.Value {
 // frontier themselves instead of letting Solve resume internally.
 type ResumedSearch struct {
 	// Seed is the snapshot's incumbent with its choice coordinates
-	// re-resolved against this process's library.
+	// re-resolved against this process's library; its Stats are the
+	// crashed run's aggregated counters (partial in-flight task work
+	// already rolled back).
 	Seed *Solution
 	// Tasks is the unexplored frontier.
 	Tasks [][]sim.Value
@@ -339,9 +337,6 @@ type ResumedSearch struct {
 	// Elapsed and LeavesUsed are the budgets the crashed run spent.
 	Elapsed    time.Duration
 	LeavesUsed int64
-	// Stats are the crashed run's aggregated counters (partial in-flight
-	// task work already rolled back).
-	Stats checkpoint.Stats
 	// Failures carries over recorded worker deaths.
 	Failures []WorkerFailure
 }
@@ -360,7 +355,6 @@ func (p *Problem) RestoreSearch(snap *checkpoint.Snapshot) (*ResumedSearch, erro
 		SplitDepth: rs.splitDepth,
 		Elapsed:    rs.elapsed,
 		LeavesUsed: rs.leavesUsed,
-		Stats:      rs.stats,
 		Failures:   rs.failures,
 	}, nil
 }

@@ -1,32 +1,16 @@
 package core
 
 import (
-	"context"
-	"time"
-
 	"svto/internal/library"
 	"svto/internal/sim"
 )
 
-// Heuristic1 is the paper's first heuristic: a single greedy downward
-// traversal of the state tree (each input takes the branch with the lower
-// partial-state leakage bound), followed by a single pre-sorted descent of
-// the gate tree under the delay budget.
-//
-// Deprecated: Heuristic1 is a thin wrapper kept for existing callers.  New
-// code should use [Problem.Solve] with Options{Algorithm: AlgHeuristic1,
-// Penalty: penalty}, which adds context cancellation, progress reporting
-// and refinement in the same call.
-func (p *Problem) Heuristic1(penalty float64) (*Solution, error) {
-	return p.Solve(context.Background(), Options{
-		Algorithm: AlgHeuristic1,
-		Penalty:   penalty,
-		Workers:   1,
-	})
-}
-
-// heuristic1 is the implementation behind AlgHeuristic1 and the incumbent
-// seeding of the tree searches.  Stats.Runtime is stamped by Solve.
+// heuristic1 is the paper's first heuristic and the implementation behind
+// AlgHeuristic1 and the incumbent seeding of the tree searches: a single
+// greedy downward traversal of the state tree (each input takes the branch
+// with the lower partial-state leakage bound), followed by a single
+// pre-sorted descent of the gate tree under the delay budget.
+// Stats.Runtime is stamped by Solve.
 func (p *Problem) heuristic1(budget float64) (*Solution, error) {
 	var stats SearchStats
 	// Coarse seed engines, not the searches' pattern-min ones: greedy
@@ -109,46 +93,10 @@ func (p *Problem) greedyState(stats *SearchStats, eng *sim.Inc3, bat *sim.Batch3
 	return out
 }
 
-// Heuristic2 is the paper's second heuristic: Heuristic1's descent followed
-// by a bounded depth-first search of the state tree until the time budget
-// expires, evaluating each reached leaf with the greedy gate-tree descent.
-//
-// Deprecated: Heuristic2 is a thin wrapper kept for existing callers.  New
-// code should use [Problem.Solve] with Options{Algorithm: AlgHeuristic2,
-// Penalty: penalty, TimeLimit: limit} — or a context deadline — which adds
-// cancellation, parallel workers and progress reporting.
-func (p *Problem) Heuristic2(penalty float64, limit time.Duration) (*Solution, error) {
-	ctx := context.Background()
-	if limit <= 0 {
-		// The legacy semantics of a non-positive budget: the seeding
-		// descent runs, the tree search does not.
-		c, cancel := context.WithCancel(ctx)
-		cancel()
-		ctx = c
-		limit = 0
-	}
-	return p.Solve(ctx, Options{
-		Algorithm: AlgHeuristic2,
-		Penalty:   penalty,
-		TimeLimit: limit,
-		Workers:   1,
-	})
-}
-
-// StateOnly models the traditional sleep-vector technique: search the state
-// tree only, with every gate fixed at its fastest version (no Vt or Tox
-// assignment).  The paper reports this achieves only ~6% reduction.
-//
-// Deprecated: StateOnly is a thin wrapper kept for existing callers.  New
-// code should use [Problem.Solve] with Options{Algorithm: AlgStateOnly}.
-func (p *Problem) StateOnly() (*Solution, error) {
-	return p.Solve(context.Background(), Options{
-		Algorithm: AlgStateOnly,
-		Workers:   1,
-	})
-}
-
-// stateOnly is the implementation behind AlgStateOnly.
+// stateOnly is the implementation behind AlgStateOnly.  It models the
+// traditional sleep-vector technique: search the state tree only, with every
+// gate fixed at its fastest version (no Vt or Tox assignment).  The paper
+// reports this achieves only ~6% reduction.
 func (p *Problem) stateOnly() (*Solution, error) {
 	var stats SearchStats
 	// Same engines, different contribution table: the bound uses the

@@ -44,16 +44,9 @@ type sharedSearch struct {
 
 	splitDepth int
 
-	stateNodes    atomic.Int64
-	gateTrials    atomic.Int64
-	leaves        atomic.Int64
-	pruned        atomic.Int64
-	leafCacheHits atomic.Int64
-	batchSweeps   atomic.Int64
-	batchLanes    atomic.Int64
-	relaxBounds   atomic.Int64
-	relaxPruned   atomic.Int64
-	portfolioWins atomic.Int64
+	// totals are the aggregated search counters, indexed like
+	// checkpoint.Stats.Counters.
+	totals [checkpoint.NumCounters]atomic.Int64
 
 	// relax is the Lagrangian bound engine of the cascade (nil when ablated
 	// or when relaxation cannot improve on the cheap bound at this budget).
@@ -117,19 +110,29 @@ func newSharedSearch(p *Problem, opt Options, budget float64, seed *Solution) *s
 	}
 	sh.bestBits.Store(math.Float64bits(p.objValue(seed)))
 	sh.best = seed
-	sh.stateNodes.Store(seed.Stats.StateNodes)
-	sh.gateTrials.Store(seed.Stats.GateTrials)
-	sh.leaves.Store(seed.Stats.Leaves)
-	sh.pruned.Store(seed.Stats.Pruned)
-	sh.batchSweeps.Store(seed.Stats.BatchSweeps)
-	sh.batchLanes.Store(seed.Stats.BatchLanes)
-	sh.relaxBounds.Store(seed.Stats.RelaxBounds)
-	sh.relaxPruned.Store(seed.Stats.RelaxPruned)
-	sh.portfolioWins.Store(seed.Stats.PortfolioWins)
+	sh.addCounters(seed.Stats.Counters().Get())
 	if !p.Ablate.NoLeafCache {
 		sh.cache = newLeafCache(len(p.CC.Gates))
 	}
 	return sh
+}
+
+// counters reads the shared totals.
+func (sh *sharedSearch) counters() checkpoint.Stats {
+	var s checkpoint.Stats
+	for i, c := range s.Counters() {
+		*c = sh.totals[i].Load()
+	}
+	return s
+}
+
+// addCounters adds d to the shared totals; zero deltas cost no atomic.
+func (sh *sharedSearch) addCounters(d checkpoint.Stats) {
+	for i, c := range d.Counters() {
+		if *c != 0 {
+			sh.totals[i].Add(*c)
+		}
+	}
 }
 
 // bestObj returns the incumbent's objective value — the units every bound
@@ -258,20 +261,12 @@ func (sh *sharedSearch) takeLeafTicket() bool {
 
 // snapshot reads the shared counters for a Progress callback.
 func (sh *sharedSearch) snapshot(start time.Time) Progress {
-	return Progress{
-		StateNodes:    sh.stateNodes.Load(),
-		GateTrials:    sh.gateTrials.Load(),
-		Leaves:        sh.leaves.Load(),
-		Pruned:        sh.pruned.Load(),
-		LeafCacheHits: sh.leafCacheHits.Load(),
-		BatchSweeps:   sh.batchSweeps.Load(),
-		BatchLanes:    sh.batchLanes.Load(),
-		RelaxBounds:   sh.relaxBounds.Load(),
-		RelaxPruned:   sh.relaxPruned.Load(),
-		PortfolioWins: sh.portfolioWins.Load(),
-		BestLeak:      sh.incumbentLeak(),
-		Elapsed:       sh.priorElapsed + time.Since(start),
+	pr := Progress{
+		BestLeak: sh.incumbentLeak(),
+		Elapsed:  sh.priorElapsed + time.Since(start),
 	}
+	pr.Counters().Set(sh.counters())
+	return pr
 }
 
 // finish packages the incumbent with the aggregated stats.
@@ -280,22 +275,13 @@ func (sh *sharedSearch) finish(start time.Time) *Solution {
 	best := sh.best
 	sh.mu.Unlock()
 	best.Stats = SearchStats{
-		StateNodes:       sh.stateNodes.Load(),
-		GateTrials:       sh.gateTrials.Load(),
-		Leaves:           sh.leaves.Load(),
-		Pruned:           sh.pruned.Load(),
-		LeafCacheHits:    sh.leafCacheHits.Load(),
-		BatchSweeps:      sh.batchSweeps.Load(),
-		BatchLanes:       sh.batchLanes.Load(),
-		RelaxBounds:      sh.relaxBounds.Load(),
-		RelaxPruned:      sh.relaxPruned.Load(),
-		PortfolioWins:    sh.portfolioWins.Load(),
 		Runtime:          sh.priorElapsed + time.Since(start),
 		Interrupted:      sh.interrupted.Load(),
 		WorkerFailures:   sh.failuresCopy(),
 		CheckpointWrites: sh.ckWrites.Load(),
 		CheckpointErrors: sh.ckErrors.Load(),
 	}
+	best.Stats.Counters().Set(sh.counters())
 	return best
 }
 
@@ -471,16 +457,19 @@ func (w *worker) leavePrefix(n int) {
 
 // flush publishes the worker's counter deltas to the shared totals.
 func (w *worker) flush() {
-	w.sh.stateNodes.Add(w.stats.StateNodes - w.flushed.StateNodes)
-	w.sh.gateTrials.Add(w.stats.GateTrials - w.flushed.GateTrials)
-	w.sh.leaves.Add(w.stats.Leaves - w.flushed.Leaves)
-	w.sh.pruned.Add(w.stats.Pruned - w.flushed.Pruned)
-	w.sh.leafCacheHits.Add(w.stats.LeafCacheHits - w.flushed.LeafCacheHits)
-	w.sh.batchSweeps.Add(w.stats.BatchSweeps - w.flushed.BatchSweeps)
-	w.sh.batchLanes.Add(w.stats.BatchLanes - w.flushed.BatchLanes)
-	w.sh.relaxBounds.Add(w.stats.RelaxBounds - w.flushed.RelaxBounds)
-	w.sh.relaxPruned.Add(w.stats.RelaxPruned - w.flushed.RelaxPruned)
+	w.publish(w.stats)
 	w.flushed = w.stats
+}
+
+// publish adds to the shared totals the counters' growth from w.flushed,
+// what the worker has published so far, to the given point.
+func (w *worker) publish(to SearchStats) {
+	from := w.flushed.Counters()
+	for i, c := range to.Counters() {
+		if d := *c - *from[i]; d != 0 {
+			w.sh.totals[i].Add(d)
+		}
+	}
 }
 
 // markTask records the start of a pool task: any tail deltas of the previous
@@ -493,24 +482,16 @@ func (w *worker) markTask() {
 
 // rollbackTask withdraws the current task's published counter deltas from
 // the shared totals.  It runs when the task returns to the pool unfinished —
-// worker death or a mid-task stop — because the requeued task will be
-// re-explored from scratch by whichever run (this one or a resume) next
-// takes it, and counting the partial exploration would double-count it:
+// worker death, or a mid-task stop when the frontier outlives the run —
+// because the requeued task will be re-explored from scratch by whichever
+// run (this one, a resume or a cluster shard) next takes it, and counting the partial exploration would double-count it:
 // checkpointed totals would re-add the same nodes and leaves after every
 // kill/resume cycle, breaking the monotone-provenance contract of
 // leakopt -stats and the daemon's result documents.  Leaf-budget tickets are
 // deliberately not returned: MaxLeaves is a work budget and the evaluation
 // work behind the rolled-back leaves was genuinely spent.
 func (w *worker) rollbackTask() {
-	w.sh.stateNodes.Add(w.taskMark.StateNodes - w.flushed.StateNodes)
-	w.sh.gateTrials.Add(w.taskMark.GateTrials - w.flushed.GateTrials)
-	w.sh.leaves.Add(w.taskMark.Leaves - w.flushed.Leaves)
-	w.sh.pruned.Add(w.taskMark.Pruned - w.flushed.Pruned)
-	w.sh.leafCacheHits.Add(w.taskMark.LeafCacheHits - w.flushed.LeafCacheHits)
-	w.sh.batchSweeps.Add(w.taskMark.BatchSweeps - w.flushed.BatchSweeps)
-	w.sh.batchLanes.Add(w.taskMark.BatchLanes - w.flushed.BatchLanes)
-	w.sh.relaxBounds.Add(w.taskMark.RelaxBounds - w.flushed.RelaxBounds)
-	w.sh.relaxPruned.Add(w.taskMark.RelaxPruned - w.flushed.RelaxPruned)
+	w.publish(w.taskMark)
 	w.stats = w.taskMark
 	w.flushed = w.taskMark
 }
@@ -857,25 +838,6 @@ func (sh *sharedSearch) runTask(w *worker) (err error) {
 	return nil
 }
 
-// runSequential runs the whole tree on one worker (Workers == 1 without
-// checkpointing), preserving the bit-for-bit deterministic visit order of
-// the plain DFS.  A worker death here is by definition all workers dying,
-// so it degrades the same way the pool does: incumbent + ErrWorkerPanic.
-func (sh *sharedSearch) runSequential() error {
-	w, err := sh.newWorker()
-	if err != nil {
-		return err
-	}
-	err = sh.runTask(w)
-	w.flush()
-	if err != nil {
-		sh.recordFailure(0, err)
-		sh.markInterrupted()
-		return sh.allDeadError(1)
-	}
-	return nil
-}
-
 // runPool is the pool engine: the state tree is split into independent
 // subtree tasks (from the frontier expansion, or from a resume snapshot's
 // saved frontier), and a pool of isolated workers drains them.  The pool is
@@ -885,13 +847,16 @@ func (sh *sharedSearch) runSequential() error {
 // its task to the pool and dies, while survivors keep draining.  Only when
 // every worker has died does the search fail, and even then the caller
 // still gets the incumbent alongside the error.
+//
+// One worker without checkpointing drains a single root task, which is the
+// plain DFS in its bit-for-bit deterministic visit order.
 func (sh *sharedSearch) runPool(opt Options, rs *resumeState) error {
 	var tasks [][]sim.Value
 	if rs != nil {
 		tasks = rs.tasks
 	} else {
 		depth := opt.SplitDepth
-		if depth <= 0 {
+		if depth <= 0 || opt.Workers == 1 && sh.ck.Path == "" {
 			depth = autoSplitDepth(opt.Workers, len(sh.p.piOrder))
 			if sh.ck.Path != "" && depth < ckSplitDepth {
 				// Finer tasks bound the re-run loss when a crashed run's
@@ -915,6 +880,7 @@ func (sh *sharedSearch) runPool(opt Options, rs *resumeState) error {
 	}
 	tp := newTaskPool(tasks)
 	sh.pool = tp
+	retained := sh.ck.Path != "" || rs != nil
 
 	// The checkpoint ticker runs for the duration of the drain; the final
 	// write (or removal) below happens only after it has stopped, so two
@@ -992,11 +958,17 @@ func (sh *sharedSearch) runPool(opt Options, rs *resumeState) error {
 				}
 				if sh.stop.Load() {
 					// Stopped mid-task: the subtree may be partially
-					// explored, so it stays in the resumable frontier and
-					// its partial counters are withdrawn — a resumed run
-					// re-counts it, and keeping the partial deltas would
-					// double-count it in the stitched totals.
-					w.rollbackTask()
+					// explored, so it stays in the frontier.  When the
+					// frontier outlives this run (a checkpoint, or a
+					// caller's task set whose remainder is returned), its
+					// partial counters are withdrawn — whoever re-explores
+					// it re-counts it, and keeping the partial deltas would
+					// double-count it in the stitched totals.  Otherwise
+					// the partial work is this run's last word and stays
+					// counted.
+					if retained {
+						w.rollbackTask()
+					}
 					tp.requeue(id)
 					return
 				}
@@ -1030,9 +1002,13 @@ func (sh *sharedSearch) runPool(opt Options, rs *resumeState) error {
 }
 
 // autoSplitDepth picks the shallowest depth giving a comfortable task
-// surplus (≈4 subtrees per worker), so pruning imbalance load-balances.
+// surplus (≈4 subtrees per worker), so pruning imbalance load-balances.  A
+// single worker has nothing to balance and gets the whole tree as one task.
 func autoSplitDepth(workers, piCount int) int {
 	d := 0
+	if workers == 1 {
+		return d
+	}
 	for (1<<d) < 4*workers && d < piCount && d < 12 {
 		d++
 	}
@@ -1061,9 +1037,9 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 	}
 	var bp *batchProber
 	var eng *sim.Inc3
-	var bpStats SearchStats
+	var stats SearchStats
 	if bat != nil {
-		bp = newBatchProber(p, bat, cur, &bpStats)
+		bp = newBatchProber(p, bat, cur, &stats)
 	} else {
 		eng, err = p.newBoundEngine()
 		if err != nil {
@@ -1081,7 +1057,7 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 			return
 		}
 		idx := p.piOrder[d]
-		sh.stateNodes.Add(1)
+		stats.StateNodes++
 		var branches [2]struct {
 			v     sim.Value
 			bound float64
@@ -1103,7 +1079,7 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 		}
 		for _, br := range branches {
 			if br.bound >= sh.bestObj()-LeakEps {
-				sh.pruned.Add(1)
+				stats.Pruned++
 				continue
 			}
 			cur[idx] = br.v
@@ -1121,7 +1097,6 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 		}
 	}
 	expand(0)
-	sh.batchSweeps.Add(bpStats.BatchSweeps)
-	sh.batchLanes.Add(bpStats.BatchLanes)
+	sh.addCounters(stats.Counters().Get())
 	return tasks, nil
 }

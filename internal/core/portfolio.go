@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sync"
+
+	"svto/internal/checkpoint"
 )
 
 // The solver portfolio races complementary strategies for one budget under
@@ -112,7 +114,7 @@ func (sh *sharedSearch) explore(slot int, seed int64, quit <-chan struct{}) {
 			return
 		}
 		if sol := sh.offerLeaf(state, a.choices, leak, isub, delay); sol != nil {
-			sh.portfolioWins.Add(1)
+			sh.addCounters(checkpoint.Stats{PortfolioWins: 1})
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/library"
 	"svto/internal/netlist"
 	"svto/internal/relax"
@@ -62,8 +63,8 @@ type Ablation struct {
 	// NoRelaxBound disables the Lagrangian-relaxation bound cascade: branch
 	// pruning falls back to the delay-oblivious minChoice/minAny bound
 	// alone.  The final objective is identical either way (both bounds are
-	// admissible); only the explored node count and the RelaxBounds/
-	// RelaxPruned counters change.
+	// admissible); only the explored node count and the relaxation
+	// counters change.
 	NoRelaxBound bool
 	// NoPortfolio disables the racing solver portfolio even when
 	// Options.Portfolio requests it, so the portfolio's contribution can be
@@ -310,6 +311,14 @@ type SearchStats struct {
 	// across process restarts.
 	Resumed      bool
 	PriorRuntime time.Duration
+}
+
+// Counters binds s's counter fields to the checkpoint.Stats list.
+func (s *SearchStats) Counters() checkpoint.Counters {
+	return checkpoint.Counters{
+		&s.StateNodes, &s.GateTrials, &s.Leaves, &s.Pruned, &s.LeafCacheHits,
+		&s.BatchSweeps, &s.BatchLanes, &s.RelaxBounds, &s.RelaxPruned, &s.PortfolioWins,
+	}
 }
 
 // WorkerFailure describes one worker death during a tree search.

@@ -108,6 +108,14 @@ type Progress struct {
 	Elapsed       time.Duration
 }
 
+// Counters binds p's counter fields to the checkpoint.Stats list.
+func (p *Progress) Counters() checkpoint.Counters {
+	return checkpoint.Counters{
+		&p.StateNodes, &p.GateTrials, &p.Leaves, &p.Pruned, &p.LeafCacheHits,
+		&p.BatchSweeps, &p.BatchLanes, &p.RelaxBounds, &p.RelaxPruned, &p.PortfolioWins,
+	}
+}
+
 // Options configures a Solve call.  The zero value runs Heuristic 1 at a 0%
 // delay penalty on all available CPUs.
 type Options struct {
@@ -124,7 +132,8 @@ type Options struct {
 	Workers int
 	// SplitDepth is the state-tree depth at which the parallel engine
 	// splits the search into independent subtree tasks; 0 picks a depth
-	// automatically from the worker count.  Ignored when Workers == 1.
+	// automatically from the worker count.  Ignored when Workers == 1
+	// without checkpointing.
 	SplitDepth int
 	// MaxLeaves, when > 0, stops the search after that many complete
 	// states have been evaluated by the tree search — a machine-independent
@@ -274,27 +283,15 @@ func emitFinalProgress(opt Options, sol *Solution) {
 	if opt.Progress == nil {
 		return
 	}
-	opt.Progress(Progress{
-		StateNodes:    sol.Stats.StateNodes,
-		GateTrials:    sol.Stats.GateTrials,
-		Leaves:        sol.Stats.Leaves,
-		Pruned:        sol.Stats.Pruned,
-		LeafCacheHits: sol.Stats.LeafCacheHits,
-		BatchSweeps:   sol.Stats.BatchSweeps,
-		BatchLanes:    sol.Stats.BatchLanes,
-		RelaxBounds:   sol.Stats.RelaxBounds,
-		RelaxPruned:   sol.Stats.RelaxPruned,
-		PortfolioWins: sol.Stats.PortfolioWins,
-		BestLeak:      sol.Leak,
-		Elapsed:       sol.Stats.Runtime,
-	})
+	pr := Progress{BestLeak: sol.Leak, Elapsed: sol.Stats.Runtime}
+	pr.Counters().Set(sol.Stats.Counters().Get())
+	opt.Progress(pr)
 }
 
 // treeSearch runs the bounded state-tree search (Heuristic 2 or Exact):
 // Heuristic 1 seeds the shared incumbent (or, on resume, the snapshot's
-// incumbent re-seeds it), then the tree is explored sequentially
-// (Workers == 1 without checkpointing) or by a pool of isolated workers
-// over subtree tasks.
+// incumbent re-seeds it), then a pool of isolated workers explores the
+// tree as subtree tasks.
 func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, snap *checkpoint.Snapshot) (*Solution, error) {
 	budget := p.Budget(opt.Penalty)
 	var (
@@ -338,16 +335,6 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		// all carry over from the crashed run.
 		sh.priorElapsed = rs.elapsed
 		sh.leafTickets.Store(rs.leavesUsed)
-		sh.stateNodes.Store(rs.stats.StateNodes)
-		sh.gateTrials.Store(rs.stats.GateTrials)
-		sh.leaves.Store(rs.stats.Leaves)
-		sh.pruned.Store(rs.stats.Pruned)
-		sh.leafCacheHits.Store(rs.stats.LeafCacheHits)
-		sh.batchSweeps.Store(rs.stats.BatchSweeps)
-		sh.batchLanes.Store(rs.stats.BatchLanes)
-		sh.relaxBounds.Store(rs.stats.RelaxBounds)
-		sh.relaxPruned.Store(rs.stats.RelaxPruned)
-		sh.portfolioWins.Store(rs.stats.PortfolioWins)
 		sh.failures = rs.failures
 		sh.splitDepth = rs.splitDepth
 		if sh.maxLeaves > 0 && rs.leavesUsed >= sh.maxLeaves {
@@ -425,15 +412,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		stopExplorers = sh.startExplorers(ex, opt.Seed)
 	}
 
-	// Checkpointing and resume always use the pool engine, even for one
-	// worker: the pool is what keeps the unexplored frontier as an explicit,
-	// serializable set of tasks.
-	var searchErr error
-	if (opt.Workers == 1 || len(p.piOrder) == 0) && sh.ck.Path == "" && rs == nil {
-		searchErr = sh.runSequential()
-	} else {
-		searchErr = sh.runPool(opt, rs)
-	}
+	searchErr := sh.runPool(opt, rs)
 
 	stopExplorers()
 	stopWatcher()

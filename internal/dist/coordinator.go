@@ -372,7 +372,6 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		seed = rs.Seed
 		r.splitDepth = rs.SplitDepth
 		r.prior = rs.Elapsed
-		r.stats = rs.Stats
 		r.leavesUsed = rs.LeavesUsed
 		r.failures = rs.Failures
 		for id, t := range rs.Tasks {
@@ -395,24 +394,14 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		if ferr != nil {
 			return nil, ferr
 		}
-		r.stats = checkpoint.Stats{
-			StateNodes:    seed.Stats.StateNodes + expStats.StateNodes,
-			GateTrials:    seed.Stats.GateTrials,
-			Leaves:        seed.Stats.Leaves,
-			Pruned:        seed.Stats.Pruned + expStats.Pruned,
-			LeafCacheHits: seed.Stats.LeafCacheHits,
-			BatchSweeps:   seed.Stats.BatchSweeps + expStats.BatchSweeps,
-			BatchLanes:    seed.Stats.BatchLanes + expStats.BatchLanes,
-			RelaxBounds:   seed.Stats.RelaxBounds,
-			RelaxPruned:   seed.Stats.RelaxPruned,
-			PortfolioWins: seed.Stats.PortfolioWins,
-		}
+		r.stats.Add(expStats.Counters().Get())
 		for id, t := range frontier {
 			r.tasks = append(r.tasks, encodeTask(t))
 			r.pending = append(r.pending, int64(id))
 			r.pendingSet[int64(id)] = true
 		}
 	}
+	r.stats.Add(seed.Stats.Counters().Get())
 	r.inc.Offer(seed)
 
 	if err := c.addRun(r); err != nil {
@@ -484,21 +473,12 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 	}
 	r.mu.Lock()
 	final.Stats = core.SearchStats{
-		StateNodes:       r.stats.StateNodes,
-		GateTrials:       r.stats.GateTrials,
-		Leaves:           r.stats.Leaves,
-		Pruned:           r.stats.Pruned,
-		LeafCacheHits:    r.stats.LeafCacheHits,
-		BatchSweeps:      r.stats.BatchSweeps,
-		BatchLanes:       r.stats.BatchLanes,
-		RelaxBounds:      r.stats.RelaxBounds,
-		RelaxPruned:      r.stats.RelaxPruned,
-		PortfolioWins:    r.stats.PortfolioWins,
 		Interrupted:      r.interrupted,
 		WorkerFailures:   append([]core.WorkerFailure(nil), r.failures...),
 		CheckpointWrites: r.ckWrites,
 		CheckpointErrors: r.ckErrors,
 	}
+	final.Stats.Counters().Set(r.stats)
 	r.mu.Unlock()
 
 	if coreOpt.RefinePasses > 0 {
@@ -515,7 +495,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		return nil, err
 	}
 	if opts.Progress != nil {
-		opts.Progress(progressFromStats(final.Stats, final.Leak))
+		opts.Progress(progressOf(r.stats, final.Leak, final.Stats.Runtime))
 	}
 	return res, nil
 }
@@ -590,21 +570,9 @@ func (r *run) maintain(stop <-chan struct{}, progress func(svto.Progress)) {
 		if progress != nil {
 			best := r.inc.Best()
 			r.mu.Lock()
-			stats := core.SearchStats{
-				StateNodes:    r.stats.StateNodes,
-				GateTrials:    r.stats.GateTrials,
-				Leaves:        r.stats.Leaves,
-				Pruned:        r.stats.Pruned,
-				LeafCacheHits: r.stats.LeafCacheHits,
-				BatchSweeps:   r.stats.BatchSweeps,
-				BatchLanes:    r.stats.BatchLanes,
-				RelaxBounds:   r.stats.RelaxBounds,
-				RelaxPruned:   r.stats.RelaxPruned,
-				PortfolioWins: r.stats.PortfolioWins,
-				Runtime:       r.prior + time.Since(r.start),
-			}
+			stats, elapsed := r.stats, r.prior+time.Since(r.start)
 			r.mu.Unlock()
-			progress(progressFromStats(stats, best.Leak))
+			progress(progressOf(stats, best.Leak, elapsed))
 		}
 	}
 }
@@ -859,7 +827,7 @@ func (r *run) complete(req CompleteRequest) {
 		credited = true
 	}
 	if credited {
-		req.Stats.addTo(&r.stats)
+		r.stats.Add(req.Stats)
 	}
 	// Budget tickets are charged for every live-lease completion, credited
 	// or not: an interrupted batch rolls its unfinished work out of the
@@ -936,23 +904,11 @@ func (r *run) sync(req SyncRequest) SyncReply {
 	return reply
 }
 
-// progressFromStats converts merged counters to the public progress shape.
-func progressFromStats(s core.SearchStats, bestLeak float64) svto.Progress {
-	return svto.Progress{
-		StateNodes:     s.StateNodes,
-		GateTrials:     s.GateTrials,
-		Leaves:         s.Leaves,
-		Pruned:         s.Pruned,
-		LeafCacheHits:  s.LeafCacheHits,
-		BatchSweeps:    s.BatchSweeps,
-		BatchLanes:     s.BatchLanes,
-		BatchOccupancy: svto.BatchOccupancy(s.BatchSweeps, s.BatchLanes),
-		RelaxBounds:    s.RelaxBounds,
-		RelaxPruned:    s.RelaxPruned,
-		PortfolioWins:  s.PortfolioWins,
-		BestLeakNA:     bestLeak,
-		Elapsed:        s.Runtime,
-	}
+// progressOf converts merged counters to the public progress shape.
+func progressOf(s checkpoint.Stats, bestLeak float64, elapsed time.Duration) svto.Progress {
+	p := core.Progress{BestLeak: bestLeak, Elapsed: elapsed}
+	p.Counters().Set(s)
+	return svto.ProgressFromCore(p)
 }
 
 // Handler serves the shard-facing wire protocol under APIPrefix.  Every

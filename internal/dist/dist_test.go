@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/gen"
 	"svto/internal/netlist"
 	"svto/pkg/svto"
@@ -379,7 +380,7 @@ func TestDuplicateCompletionsCreditOnce(t *testing.T) {
 				Shard:   "manual",
 				JobID:   info.JobID,
 				LeaseID: lr.LeaseID,
-				Stats: StatsDelta{
+				Stats: checkpoint.Stats{
 					Leaves:     int64(len(lr.TaskIDs)),
 					GateTrials: 10 * int64(len(lr.TaskIDs)),
 				},

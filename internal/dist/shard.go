@@ -354,7 +354,7 @@ func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.
 		// Infrastructure failure before any work: everything remains.
 		creq.Remaining = lr.TaskIDs
 	} else {
-		creq.Stats = deltaFromStats(tr.Best.Stats)
+		creq.Stats = tr.Best.Stats.Counters().Get()
 		creq.LeavesUsed = tr.LeavesUsed
 		for _, t := range tr.Remaining {
 			id, ok := taskID[string(encodeTask(t))]

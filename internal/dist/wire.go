@@ -89,62 +89,19 @@ type LeaseReply struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// StatsDelta carries one batch's search-counter increments.  Deltas follow
-// the engine's mark/rollback rule — a task's counters are included only if
-// the task finished — so the coordinator can sum deltas from completed
-// batches without double counting re-queued work.
-type StatsDelta struct {
-	StateNodes    int64 `json:"state_nodes,omitempty"`
-	GateTrials    int64 `json:"gate_trials,omitempty"`
-	Leaves        int64 `json:"leaves,omitempty"`
-	Pruned        int64 `json:"pruned,omitempty"`
-	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
-	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
-	BatchLanes    int64 `json:"batch_lanes,omitempty"`
-	RelaxBounds   int64 `json:"relax_bounds,omitempty"`
-	RelaxPruned   int64 `json:"relax_pruned,omitempty"`
-	PortfolioWins int64 `json:"portfolio_wins,omitempty"`
-}
-
-func deltaFromStats(s core.SearchStats) StatsDelta {
-	return StatsDelta{
-		StateNodes:    s.StateNodes,
-		GateTrials:    s.GateTrials,
-		Leaves:        s.Leaves,
-		Pruned:        s.Pruned,
-		LeafCacheHits: s.LeafCacheHits,
-		BatchSweeps:   s.BatchSweeps,
-		BatchLanes:    s.BatchLanes,
-		RelaxBounds:   s.RelaxBounds,
-		RelaxPruned:   s.RelaxPruned,
-		PortfolioWins: s.PortfolioWins,
-	}
-}
-
-func (d StatsDelta) addTo(s *checkpoint.Stats) {
-	s.StateNodes += d.StateNodes
-	s.GateTrials += d.GateTrials
-	s.Leaves += d.Leaves
-	s.Pruned += d.Pruned
-	s.LeafCacheHits += d.LeafCacheHits
-	s.BatchSweeps += d.BatchSweeps
-	s.BatchLanes += d.BatchLanes
-	s.RelaxBounds += d.RelaxBounds
-	s.RelaxPruned += d.RelaxPruned
-	s.PortfolioWins += d.PortfolioWins
-}
-
 // CompleteRequest reports a drained (or interrupted) lease.  Remaining
 // lists the task ids the shard did not finish — the coordinator re-queues
-// them — and Stats covers exactly the finished ones.  A completion for an
-// already-expired lease is accepted but credited nothing except its
-// incumbent: monotonicity makes the late merge harmless.
+// them — and Stats covers exactly the finished ones: the batch's counter
+// increments follow the engine's mark/rollback rule, so the coordinator can
+// sum them over completed batches without double counting re-queued work.
+// A completion for an already-expired lease is accepted but credited
+// nothing except its incumbent: monotonicity makes the late merge harmless.
 type CompleteRequest struct {
-	Shard     string     `json:"shard"`
-	JobID     string     `json:"job_id"`
-	LeaseID   int64      `json:"lease_id"`
-	Remaining []int64    `json:"remaining,omitempty"`
-	Stats     StatsDelta `json:"stats"`
+	Shard     string           `json:"shard"`
+	JobID     string           `json:"job_id"`
+	LeaseID   int64            `json:"lease_id"`
+	Remaining []int64          `json:"remaining,omitempty"`
+	Stats     checkpoint.Stats `json:"stats"`
 	// LeavesUsed is the batch's leaf-budget tickets (core.TaskResult
 	// .LeavesUsed): unlike Stats.Leaves it includes rolled-back work, and
 	// the coordinator charges the leaf budget with it so interrupted

@@ -95,17 +95,7 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 		Resumed:      sol.Stats.Resumed,
 		PriorRuntime: sol.Stats.PriorRuntime,
 		Stats: Stats{
-			StateNodes:       sol.Stats.StateNodes,
-			GateTrials:       sol.Stats.GateTrials,
-			Leaves:           sol.Stats.Leaves,
-			Pruned:           sol.Stats.Pruned,
-			LeafCacheHits:    sol.Stats.LeafCacheHits,
-			BatchSweeps:      sol.Stats.BatchSweeps,
-			BatchLanes:       sol.Stats.BatchLanes,
 			BatchOccupancy:   BatchOccupancy(sol.Stats.BatchSweeps, sol.Stats.BatchLanes),
-			RelaxBounds:      sol.Stats.RelaxBounds,
-			RelaxPruned:      sol.Stats.RelaxPruned,
-			PortfolioWins:    sol.Stats.PortfolioWins,
 			Runtime:          sol.Stats.Runtime,
 			Interrupted:      sol.Stats.Interrupted,
 			CheckpointWrites: sol.Stats.CheckpointWrites,
@@ -116,6 +106,7 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 		prob: prob,
 		sol:  sol,
 	}
+	res.Stats.Counters().Set(sol.Stats.Counters().Get())
 	for _, wf := range sol.Stats.WorkerFailures {
 		res.WorkerFailures = append(res.WorkerFailures,
 			fmt.Sprintf("worker %d: %s", wf.Worker, wf.Err))
@@ -145,21 +136,15 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 	return res, nil
 }
 
-// coreProgress converts a core progress snapshot to the public shape.
-func coreProgress(p core.Progress) Progress {
-	return Progress{
-		StateNodes:     p.StateNodes,
-		GateTrials:     p.GateTrials,
-		Leaves:         p.Leaves,
-		Pruned:         p.Pruned,
-		LeafCacheHits:  p.LeafCacheHits,
-		BatchSweeps:    p.BatchSweeps,
-		BatchLanes:     p.BatchLanes,
+// ProgressFromCore converts an engine progress snapshot to the public
+// shape: Run's progress callback and the cluster coordinator both report
+// through it.
+func ProgressFromCore(p core.Progress) Progress {
+	out := Progress{
 		BatchOccupancy: BatchOccupancy(p.BatchSweeps, p.BatchLanes),
-		RelaxBounds:    p.RelaxBounds,
-		RelaxPruned:    p.RelaxPruned,
-		PortfolioWins:  p.PortfolioWins,
 		BestLeakNA:     p.BestLeak,
 		Elapsed:        p.Elapsed,
 	}
+	out.Counters().Set(p.Counters().Get())
+	return out
 }
