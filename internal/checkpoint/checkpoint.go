@@ -73,10 +73,12 @@ const (
 // rest in the version-3 trailing section.  The JSON tags are the lease
 // wire's keys.
 type Stats struct {
-	StateNodes    int64 `json:"state_nodes,omitempty"`
-	GateTrials    int64 `json:"gate_trials,omitempty"`
-	Leaves        int64 `json:"leaves,omitempty"`
-	Pruned        int64 `json:"pruned,omitempty"`
+	StateNodes int64 `json:"state_nodes,omitempty"`
+	GateTrials int64 `json:"gate_trials,omitempty"`
+	Leaves     int64 `json:"leaves,omitempty"`
+	Pruned     int64 `json:"pruned,omitempty"`
+	// LeafCacheHits is always zero (the search keeps no leaf cache); it
+	// keeps its place because v3 snapshots store this slot.
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
 	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
 	BatchLanes    int64 `json:"batch_lanes,omitempty"`

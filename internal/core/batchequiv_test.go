@@ -70,7 +70,6 @@ func TestNoBatchEvalEquivalence(t *testing.T) {
 					{"GateTrials", with.Stats.GateTrials, without.Stats.GateTrials},
 					{"Leaves", with.Stats.Leaves, without.Stats.Leaves},
 					{"Pruned", with.Stats.Pruned, without.Stats.Pruned},
-					{"LeafCacheHits", with.Stats.LeafCacheHits, without.Stats.LeafCacheHits},
 				} {
 					if c.a != c.b {
 						t.Errorf("%s: %s %d batched != %d incremental", tag, c.name, c.a, c.b)

@@ -98,6 +98,8 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	wu(uint64(p.Obj))
 	wu(uint64(opt.Algorithm))
 	wu(math.Float64bits(opt.Penalty))
+	// Bits 8 and 64 belonged to retired ablations; they stay unused so the
+	// remaining bits keep their values and older snapshots still match.
 	var ab uint64
 	if p.Ablate.NoStateBounds {
 		ab |= 1
@@ -108,17 +110,11 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	if p.Ablate.NoSortedVersions {
 		ab |= 4
 	}
-	if p.Ablate.NoLeafCache {
-		ab |= 8
-	}
 	if p.Ablate.NoBatchEval {
 		ab |= 16
 	}
 	if p.Ablate.NoRelaxBound {
 		ab |= 32
-	}
-	if p.Ablate.NoPortfolio {
-		ab |= 64
 	}
 	wu(ab)
 	return h.Sum64()
@@ -142,26 +138,38 @@ func (p *Problem) loadResume(opt Options) (*checkpoint.Snapshot, error) {
 	return snap, nil
 }
 
-// resumeState is a validated snapshot translated back into search terms.
-type resumeState struct {
-	seed       *Solution
-	elapsed    time.Duration
-	leavesUsed int64
-	splitDepth int
-	failures   []WorkerFailure
-	tasks      [][]sim.Value
+// ResumedSearch is a fingerprint-validated snapshot translated back into
+// search terms: what Solve resumes from, and what callers that drive the
+// frontier themselves (the cluster coordinator) read.  SolveTasks builds one
+// with only Tasks and SplitDepth set.
+type ResumedSearch struct {
+	// Seed is the snapshot's incumbent with its choice coordinates
+	// re-resolved against this process's library; its Stats are the
+	// crashed run's aggregated counters (partial in-flight task work
+	// already rolled back).
+	Seed *Solution
+	// Tasks is the unexplored frontier.
+	Tasks [][]sim.Value
+	// SplitDepth is the depth the frontier was expanded at.
+	SplitDepth int
+	// Elapsed and LeavesUsed are the budgets the crashed run spent.
+	Elapsed    time.Duration
+	LeavesUsed int64
+	// Failures carries over recorded worker deaths.
+	Failures []WorkerFailure
 	// mult is the snapshot's Lagrangian multiplier cache (nil when the
 	// snapshot carried none — format v2, or a run whose engine was off),
 	// used to warm-start the relaxation engine rebuild.
 	mult *relax.Warm
 }
 
-// restoreSnapshot converts a fingerprint-validated snapshot into the
+// RestoreSearch converts a loaded snapshot (see checkpoint.Load) into the
 // incumbent solution and frontier tasks of a resumed search, re-resolving
 // the incumbent's (state, index) choice coordinates into this process's
 // choice pointers and cross-checking the recorded leakage against the
-// re-resolved choices as an end-to-end integrity check.
-func (p *Problem) restoreSnapshot(snap *checkpoint.Snapshot) (*resumeState, error) {
+// re-resolved choices as an end-to-end integrity check.  The caller has
+// already matched SearchFingerprint against snap.Fingerprint.
+func (p *Problem) RestoreSearch(snap *checkpoint.Snapshot) (*ResumedSearch, error) {
 	mismatch := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrCheckpointMismatch, fmt.Sprintf(format, args...))
 	}
@@ -181,26 +189,26 @@ func (p *Problem) restoreSnapshot(snap *checkpoint.Snapshot) (*resumeState, erro
 		return nil, mismatch("incumbent leakage %.9g/%.9g disagrees with re-resolved choices %.9g/%.9g",
 			inc.Leak, inc.Isub, leak, isub)
 	}
-	rs := &resumeState{
-		seed: &Solution{
+	rs := &ResumedSearch{
+		Seed: &Solution{
 			State:   append([]bool(nil), inc.State...),
 			Choices: choices,
 			Leak:    inc.Leak,
 			Isub:    inc.Isub,
 			Delay:   inc.Delay,
 		},
-		elapsed:    snap.Elapsed,
-		leavesUsed: snap.LeavesUsed,
-		splitDepth: snap.SplitDepth,
+		Elapsed:    snap.Elapsed,
+		LeavesUsed: snap.LeavesUsed,
+		SplitDepth: snap.SplitDepth,
 	}
 	// The snapshot's counters seed the shared totals: a resume continues
 	// them rather than resetting.
-	rs.seed.Stats.Counters().Set(snap.Stats)
-	if rs.splitDepth < 0 || rs.splitDepth > len(p.piOrder) {
-		return nil, mismatch("split depth %d out of range (%d inputs)", rs.splitDepth, len(p.piOrder))
+	rs.Seed.Stats.Counters().Set(snap.Stats)
+	if rs.SplitDepth < 0 || rs.SplitDepth > len(p.piOrder) {
+		return nil, mismatch("split depth %d out of range (%d inputs)", rs.SplitDepth, len(p.piOrder))
 	}
 	for _, f := range snap.Failures {
-		rs.failures = append(rs.failures, WorkerFailure{Worker: int(f.Worker), Err: f.Err, Stack: f.Stack})
+		rs.Failures = append(rs.Failures, WorkerFailure{Worker: int(f.Worker), Err: f.Err, Stack: f.Stack})
 	}
 	for ti, vec := range snap.Frontier {
 		if len(vec) != len(p.CC.PI) {
@@ -213,7 +221,7 @@ func (p *Problem) restoreSnapshot(snap *checkpoint.Snapshot) (*resumeState, erro
 			}
 			task[i] = sim.Value(b)
 		}
-		rs.tasks = append(rs.tasks, task)
+		rs.Tasks = append(rs.Tasks, task)
 	}
 	if snap.HasMultipliers {
 		rs.mult = relax.NewWarm()

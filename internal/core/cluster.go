@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"svto/internal/checkpoint"
 	"svto/internal/sim"
 )
 
@@ -296,7 +295,7 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 		}
 	}()
 
-	searchErr := sh.runPool(opt, &resumeState{tasks: tasks, splitDepth: opt.SplitDepth})
+	searchErr := sh.runPool(opt, &ResumedSearch{Tasks: tasks, SplitDepth: opt.SplitDepth})
 	stopWatcher()
 
 	var remaining [][]sim.Value
@@ -319,44 +318,6 @@ func cloneTasks(tasks [][]sim.Value) [][]sim.Value {
 		out[i] = append([]sim.Value(nil), t...)
 	}
 	return out
-}
-
-// ResumedSearch is a fingerprint-validated snapshot translated back into
-// search terms, for callers (the cluster coordinator) that drive the
-// frontier themselves instead of letting Solve resume internally.
-type ResumedSearch struct {
-	// Seed is the snapshot's incumbent with its choice coordinates
-	// re-resolved against this process's library; its Stats are the
-	// crashed run's aggregated counters (partial in-flight task work
-	// already rolled back).
-	Seed *Solution
-	// Tasks is the unexplored frontier.
-	Tasks [][]sim.Value
-	// SplitDepth is the depth the frontier was expanded at.
-	SplitDepth int
-	// Elapsed and LeavesUsed are the budgets the crashed run spent.
-	Elapsed    time.Duration
-	LeavesUsed int64
-	// Failures carries over recorded worker deaths.
-	Failures []WorkerFailure
-}
-
-// RestoreSearch validates and translates a loaded snapshot (see
-// checkpoint.Load); the caller has already matched SearchFingerprint
-// against snap.Fingerprint.
-func (p *Problem) RestoreSearch(snap *checkpoint.Snapshot) (*ResumedSearch, error) {
-	rs, err := p.restoreSnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	return &ResumedSearch{
-		Seed:       rs.seed,
-		Tasks:      rs.tasks,
-		SplitDepth: rs.splitDepth,
-		Elapsed:    rs.elapsed,
-		LeavesUsed: rs.leavesUsed,
-		Failures:   rs.failures,
-	}, nil
 }
 
 // IncumbentCoords serializes a solution's gate choices as the (state,

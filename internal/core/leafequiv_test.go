@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 	"testing"
 
@@ -26,65 +25,6 @@ func identicalSolutions(t *testing.T, tag string, a, b *Solution) {
 		if a.Choices[gi] != b.Choices[gi] {
 			t.Fatalf("%s: gate %d choices differ", tag, gi)
 		}
-	}
-}
-
-// The leaf-dedup cache must be invisible to Workers=1 results: a cached
-// search returns bit-for-bit the same solution as one with the cache
-// ablated, for both the greedy and exact leaf evaluators and under both
-// objectives.
-func TestLeafCacheEquivalence(t *testing.T) {
-	circ, err := gen.RandomLogic("leafequiv", 19, 9, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, obj := range []Objective{ObjTotal, ObjIsubOnly} {
-		for _, alg := range []Algorithm{AlgHeuristic2, AlgExact} {
-			tag := alg.String() + "/" + map[Objective]string{ObjTotal: "total", ObjIsubOnly: "isub"}[obj]
-			t.Run(tag, func(t *testing.T) {
-				opt := Options{Algorithm: alg, Penalty: 0.08, Workers: 1}
-
-				cached := newProblem(t, circ, library.DefaultOptions(), obj)
-				with, err := cached.Solve(context.Background(), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				ablated := newProblem(t, circ, library.DefaultOptions(), obj)
-				ablated.Ablate.NoLeafCache = true
-				without, err := ablated.Solve(context.Background(), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				identicalSolutions(t, tag, with, without)
-				if with.Stats.Leaves != without.Stats.Leaves {
-					t.Errorf("%s: Leaves %d with cache != %d without (hits must still count)",
-						tag, with.Stats.Leaves, without.Stats.Leaves)
-				}
-				if without.Stats.LeafCacheHits != 0 {
-					t.Errorf("%s: ablated search reported %d cache hits", tag, without.Stats.LeafCacheHits)
-				}
-			})
-		}
-	}
-}
-
-// A Heuristic 2 full-tree walk must revisit the seed's input state and
-// answer it from the cache: the search reports at least one hit.
-func TestLeafCacheSeedHit(t *testing.T) {
-	p := midCircuit(t)
-	sol, err := p.Solve(context.Background(), Options{
-		Algorithm: AlgHeuristic2, Penalty: 0.05, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Stats.LeafCacheHits == 0 {
-		t.Error("full-tree Heuristic2 walk reported no leaf-cache hits (the seed state is always revisited)")
-	}
-	if sol.Stats.LeafCacheHits > sol.Stats.Leaves {
-		t.Errorf("cache hits %d exceed leaves %d", sol.Stats.LeafCacheHits, sol.Stats.Leaves)
 	}
 }
 

@@ -73,10 +73,6 @@ type sharedSearch struct {
 	ckWrites     atomic.Int64
 	ckErrors     atomic.Int64
 
-	// cache memoizes leaf evaluations by gate-state vector (nil when the
-	// NoLeafCache ablation disables it).
-	cache *leafCache
-
 	// baseline is the all-fast timing state workers clone instead of
 	// re-running a full analysis per worker.
 	baseline     *sta.State
@@ -111,9 +107,6 @@ func newSharedSearch(p *Problem, opt Options, budget float64, seed *Solution) *s
 	sh.bestBits.Store(math.Float64bits(p.objValue(seed)))
 	sh.best = seed
 	sh.addCounters(seed.Stats.Counters().Get())
-	if !p.Ablate.NoLeafCache {
-		sh.cache = newLeafCache(len(p.CC.Gates))
-	}
 	return sh
 }
 
@@ -150,19 +143,14 @@ func (sh *sharedSearch) incumbentLeak() float64 {
 	return sh.best.Leak
 }
 
-// offer installs sol as the incumbent if it improves the objective bound;
-// the fast CAS loop publishes the new bound before the slower solution swap
-// so other workers prune against it immediately.  Equal-objective solutions
-// tie-break on total leakage so reported numbers stay deterministic under
-// ObjIsubOnly (where many choices can share an Isub value).
-func (sh *sharedSearch) offer(sol *Solution) { sh.install(sol, true) }
-
-// installExternal is offer for solutions arriving from the shared external
-// incumbent: identical installation, but no re-publication (the share
-// already knows — re-offering would bounce the broadcast back).
-func (sh *sharedSearch) installExternal(sol *Solution) { sh.install(sol, false) }
-
-func (sh *sharedSearch) install(sol *Solution, publish bool) {
+// installExternal installs a solution arriving from the shared external
+// incumbent if it improves the objective bound; the fast CAS loop publishes
+// the new bound before the slower solution swap so other workers prune
+// against it immediately.  Equal-objective solutions tie-break on total
+// leakage so reported numbers stay deterministic under ObjIsubOnly (where
+// many choices can share an Isub value).  It does not re-publish: the share
+// already knows, and re-offering would bounce the broadcast back.
+func (sh *sharedSearch) installExternal(sol *Solution) {
 	obj := sh.p.objValue(sol)
 	for {
 		cur := sh.bestBits.Load()
@@ -179,28 +167,21 @@ func (sh *sharedSearch) install(sol *Solution, publish bool) {
 		}
 	}
 	sh.mu.Lock()
-	installed := false
 	if best := sh.best; best == nil || obj < sh.p.objValue(best) ||
 		(obj == sh.p.objValue(best) && sol.Leak < best.Leak) {
 		sh.best = sol
-		installed = true
 	}
 	sh.mu.Unlock()
-	// Publish outside sh.mu: the share runs subscriber callbacks, and a
-	// callback taking another search's locks under ours would order locks
-	// inconsistently across searches.
-	if installed && publish && sh.share != nil {
-		sh.share.OfferFrom(sh.shareID, sol)
-	}
 }
 
-// offerLeaf is offer for the allocation-free leaf paths: the caller hands
-// in the arena's reused state and choices buffers plus the computed values,
-// and a Solution (with its own copies of the buffers) is only materialized
-// if the incumbent actually moves — losing leaves allocate nothing.  The
-// CAS loop and the equal-objective leak tie-break are identical to offer's.
-// Returns the installed solution, or nil when the incumbent was not
-// replaced.
+// offerLeaf offers a solution found by this search to the incumbent, for
+// the allocation-free leaf paths: the caller hands in the arena's reused
+// state and choices buffers plus the computed values, and a Solution (with
+// its own copies of the buffers) is only materialized if the incumbent
+// actually moves — losing leaves allocate nothing.  The CAS loop and the
+// equal-objective leak tie-break are identical to installExternal's; an
+// installed solution is then published to the share.  Returns the installed
+// solution, or nil when the incumbent was not replaced.
 func (sh *sharedSearch) offerLeaf(state []bool, choices []*library.Choice, leak, isub, delay float64) *Solution {
 	obj := leak
 	if sh.p.Obj == ObjIsubOnly {
@@ -234,7 +215,9 @@ func (sh *sharedSearch) offerLeaf(state []bool, choices []*library.Choice, leak,
 		sh.best = sol
 	}
 	sh.mu.Unlock()
-	// See install: publication must happen outside sh.mu.
+	// Publish outside sh.mu: the share runs subscriber callbacks, and a
+	// callback taking another search's locks under ours would order locks
+	// inconsistently across searches.
 	if sol != nil && sh.share != nil {
 		sh.share.OfferFrom(sh.shareID, sol)
 	}
@@ -375,9 +358,6 @@ type worker struct {
 	base     *sta.State // all-fast reference timing
 	scratch  *sta.State // per-leaf working state
 	arena    *leafArena // reusable leaf-evaluation buffers
-	// exactBest tracks the best solution the current exact leaf descent
-	// installed, for the leaf cache.
-	exactBest *Solution
 }
 
 func (sh *sharedSearch) newWorker() (*worker, error) {
@@ -496,13 +476,43 @@ func (w *worker) rollbackTask() {
 	w.flushed = w.taskMark
 }
 
-// dfs is the bound-guided state-tree descent: at each level the two branch
-// bounds come from the batched prober (one lane pair of a segment sweep
-// shared with up to 62 sibling probes) or, under NoBatchEval, from the
-// incremental engine (an Assign/Undo pair per branch, touching only the
-// input's fanout cone).  The bounds are bit-identical either way, so branch
-// ordering — tighter branch first — and incumbent pruning are too.  The hot
-// path allocates nothing after a segment's first visit.
+// branch is one child of a state-tree node: the value its input takes and
+// the state bound of the subtree below it.
+type branch struct {
+	v     sim.Value
+	bound float64
+}
+
+// orderBranches bounds the two children of a state-tree node at depth, whose
+// input is idx, and returns them tighter bound first.  The bounds come from
+// the batched prober bp (one lane pair of a segment sweep shared with up to
+// 62 sibling probes) or, when bp is nil, from the incremental engine inc (an
+// Assign/Undo pair per branch, touching only the input's fanout cone); both
+// nil means bounds are ablated and both read 0.  The bounds are
+// bit-identical either way, so the order is too.  pushed reports that bp
+// entered a segment the caller must pop once both subtrees are done.
+func orderBranches(bp *batchProber, inc *sim.Inc3, depth, idx int) (br [2]branch, pushed bool) {
+	br[0].v, br[1].v = sim.False, sim.True
+	if bp != nil {
+		pushed = bp.push(depth)
+		br[0].bound, br[1].bound = bp.bounds(depth)
+	} else if inc != nil {
+		for k := range br {
+			inc.Assign(idx, br[k].v)
+			br[k].bound = inc.Bound()
+			inc.Undo()
+		}
+	}
+	if br[1].bound < br[0].bound {
+		br[0], br[1] = br[1], br[0]
+	}
+	return br, pushed
+}
+
+// dfs is the bound-guided state-tree descent: at each level orderBranches
+// bounds both children and the tighter one is explored first, each pruned
+// against the incumbent.  The hot path allocates nothing after a segment's
+// first visit.
 //
 // Branches that survive the cheap bound pay the second stage of the bound
 // cascade: one incremental probe of the Lagrangian engine (w.rx), whose
@@ -526,25 +536,7 @@ func (w *worker) dfs(depth int) error {
 	}
 	idx := p.piOrder[depth]
 	w.stats.StateNodes++
-	var branches [2]struct {
-		v     sim.Value
-		bound float64
-	}
-	branches[0].v, branches[1].v = sim.False, sim.True
-	var pushed bool
-	if w.bp != nil {
-		pushed = w.bp.push(depth)
-		branches[0].bound, branches[1].bound = w.bp.bounds(depth)
-	} else if w.inc != nil {
-		for k := range branches {
-			w.inc.Assign(idx, branches[k].v)
-			branches[k].bound = w.inc.Bound()
-			w.inc.Undo()
-		}
-	}
-	if branches[1].bound < branches[0].bound {
-		branches[0], branches[1] = branches[1], branches[0]
-	}
+	branches, pushed := orderBranches(w.bp, w.inc, depth, idx)
 	for _, br := range branches {
 		if br.bound >= sh.bestObj()-LeakEps {
 			w.stats.Pruned++
@@ -585,8 +577,12 @@ func (w *worker) dfs(depth int) error {
 // leaf evaluates one complete input state, either with the greedy gate-tree
 // descent (Heuristic 2) or the exact gate-tree branch-and-bound.  The state
 // vector lives in the worker's arena, so the leaf paths allocate nothing
-// after warm-up (incumbent installs and first-visit cache inserts are the
-// only allocation sites, and both are amortized over the search).
+// after warm-up (incumbent installs are the only allocation site).
+//
+// Every leaf runs its own descent: a state-tree walk visits each complete
+// input vector once, and on circuits where every primary input drives a gate
+// distinct input vectors give distinct gate-state vectors, so a memo keyed on
+// the gate-state vector would never hit.
 func (w *worker) leaf() error {
 	if ab := &w.sh.p.Ablate; ab.FailLeafEvery > 0 || ab.PanicWorkerAfter > 0 || ab.CancelAfterLeaves > 0 {
 		// Deterministic fault injection: the hooks key off one shared
@@ -622,9 +618,7 @@ func (w *worker) leaf() error {
 }
 
 // greedyLeaf runs the greedy single descent of the gate tree on the reused
-// scratch timing state and offers the result to the shared incumbent.  The
-// descent depends on the circuit only through the gate-state vector, so a
-// leaf-cache hit replays the memoized solution instead of re-descending.
+// scratch timing state and offers the result to the shared incumbent.
 func (w *worker) greedyLeaf(state []bool) error {
 	sh := w.sh
 	p := sh.p
@@ -632,39 +626,18 @@ func (w *worker) greedyLeaf(state []bool) error {
 	if err := p.gateStatesInto(a, state); err != nil {
 		return err
 	}
-	if sh.cache != nil {
-		if e, ok := sh.cache.get(a.gateSt, leafGreedy); ok {
-			w.stats.Leaves++
-			w.stats.LeafCacheHits++
-			sh.offer(e.sol)
-			return nil
-		}
-	}
 	w.scratch.CopyFrom(w.base)
 	leak, isub, delay, err := p.evalStateArena(w.scratch, a, sh.budget, &w.stats)
 	if err != nil {
 		return err
 	}
-	sol := sh.offerLeaf(state, a.choices, leak, isub, delay)
-	if sh.cache != nil {
-		if sol == nil {
-			sol = &Solution{
-				State:   append([]bool(nil), state...),
-				Choices: append([]*library.Choice(nil), a.choices...),
-				Leak:    leak,
-				Isub:    isub,
-				Delay:   delay,
-			}
-		}
-		sh.cache.put(a.gateSt, leafGreedy, sol)
-	}
+	sh.offerLeaf(state, a.choices, leak, isub, delay)
 	return nil
 }
 
 // exactLeaf runs the exact gate-tree branch-and-bound for one state: gates
 // in gain order, remaining-gates leakage suffix bounds, and the incremental
-// delay lower bound (unassigned gates at their fastest version).  Completed
-// descents are memoized by gate-state vector; interrupted ones are not.
+// delay lower bound (unassigned gates at their fastest version).
 func (w *worker) exactLeaf(state []bool) error {
 	sh := w.sh
 	p := sh.p
@@ -673,15 +646,6 @@ func (w *worker) exactLeaf(state []bool) error {
 		return err
 	}
 	w.stats.Leaves++
-	if sh.cache != nil {
-		if e, ok := sh.cache.get(a.gateSt, leafExact); ok {
-			w.stats.LeafCacheHits++
-			if e.sol != nil {
-				sh.offer(e.sol)
-			}
-			return nil
-		}
-	}
 
 	p.rankGates(a)
 	for i := len(a.order) - 1; i >= 0; i-- {
@@ -690,14 +654,7 @@ func (w *worker) exactLeaf(state []bool) error {
 	}
 
 	w.scratch.CopyFrom(w.base)
-	w.exactBest = nil
-	if err := w.gateDFS(state, 0, 0); err != nil {
-		return err
-	}
-	if sh.cache != nil && !sh.stop.Load() {
-		sh.cache.put(a.gateSt, leafExact, w.exactBest)
-	}
-	return nil
+	return w.gateDFS(state, 0, 0)
 }
 
 // gateDFS is the recursive step of the exact gate-tree branch-and-bound,
@@ -722,9 +679,7 @@ func (w *worker) gateDFS(state []bool, pos int, leakSoFar float64) error {
 		if delay > sh.budget+DelayEps {
 			return nil
 		}
-		if sol := sh.offerLeaf(state, a.choices, leak, isub, delay); sol != nil {
-			w.exactBest = sol
-		}
+		sh.offerLeaf(state, a.choices, leak, isub, delay)
 		return nil
 	}
 	gi := int(a.order[pos])
@@ -850,10 +805,10 @@ func (sh *sharedSearch) runTask(w *worker) (err error) {
 //
 // One worker without checkpointing drains a single root task, which is the
 // plain DFS in its bit-for-bit deterministic visit order.
-func (sh *sharedSearch) runPool(opt Options, rs *resumeState) error {
+func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 	var tasks [][]sim.Value
 	if rs != nil {
-		tasks = rs.tasks
+		tasks = rs.Tasks
 	} else {
 		depth := opt.SplitDepth
 		if depth <= 0 || opt.Workers == 1 && sh.ck.Path == "" {
@@ -1058,25 +1013,7 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 		}
 		idx := p.piOrder[d]
 		stats.StateNodes++
-		var branches [2]struct {
-			v     sim.Value
-			bound float64
-		}
-		branches[0].v, branches[1].v = sim.False, sim.True
-		var pushed bool
-		if bp != nil {
-			pushed = bp.push(d)
-			branches[0].bound, branches[1].bound = bp.bounds(d)
-		} else if eng != nil {
-			for k := range branches {
-				eng.Assign(idx, branches[k].v)
-				branches[k].bound = eng.Bound()
-				eng.Undo()
-			}
-		}
-		if branches[1].bound < branches[0].bound {
-			branches[0], branches[1] = branches[1], branches[0]
-		}
+		branches, pushed := orderBranches(bp, eng, d, idx)
 		for _, br := range branches {
 			if br.bound >= sh.bestObj()-LeakEps {
 				stats.Pruned++

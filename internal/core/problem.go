@@ -49,10 +49,6 @@ type Ablation struct {
 	// edges: every choice must be tried instead of stopping at the first
 	// feasible one.
 	NoSortedVersions bool
-	// NoLeafCache disables the gate-state-vector leaf memoization: every
-	// reached leaf re-runs its gate-tree descent even when an identical
-	// vector was already evaluated.
-	NoLeafCache bool
 	// NoBatchEval disables the 64-lane batched bound evaluator: branch
 	// bounds fall back to one incremental (sim.Inc3) probe per sibling
 	// instead of one sim.Batch3 sweep per frontier fan-out.  Results are
@@ -66,10 +62,6 @@ type Ablation struct {
 	// admissible); only the explored node count and the relaxation
 	// counters change.
 	NoRelaxBound bool
-	// NoPortfolio disables the racing solver portfolio even when
-	// Options.Portfolio requests it, so the portfolio's contribution can be
-	// measured against the plain pool on identical options.
-	NoPortfolio bool
 
 	// The remaining fields are deterministic fault-injection hooks for the
 	// crash-safety tests.  They key off a shared leaf-attempt counter that
@@ -265,9 +257,9 @@ type SearchStats struct {
 	GateTrials int64 // gate-tree version trials (incl. rejected)
 	Leaves     int64 // complete states evaluated with a gate-tree descent
 	Pruned     int64 // state-tree branches cut by the leakage bound
-	// LeafCacheHits counts leaves answered by the gate-state-vector
-	// memoization instead of a fresh gate-tree descent (a subset of
-	// Leaves; GateTrials excludes the descents such hits skipped).
+	// LeafCacheHits is always zero: every leaf runs its own gate-tree
+	// descent.  It stays because the v3 snapshot format stores its slot in
+	// the counter list and callers read it by name.
 	LeafCacheHits int64
 	// BatchSweeps counts batched bound sweeps (one topological pass of the
 	// 64-lane sim.Batch3 evaluator); BatchLanes the probe lanes those

@@ -88,8 +88,8 @@ type Progress struct {
 	GateTrials int64
 	Leaves     int64
 	Pruned     int64
-	// LeafCacheHits counts leaves answered from the gate-state-vector
-	// memoization instead of a fresh gate-tree descent.
+	// LeafCacheHits is always zero (see SearchStats.LeafCacheHits); it
+	// stays for the counter list's v3 snapshot slot.
 	LeafCacheHits int64
 	// BatchSweeps / BatchLanes instrument the 64-lane batched bound
 	// evaluator: sweeps performed and probe lanes retired (their ratio is
@@ -154,9 +154,9 @@ type Options struct {
 	// Early tight incumbents and tighter bounds compound, so on exhaustive
 	// searches the result is unchanged (the explorers only ever install
 	// feasible solutions, and pruning bounds stay admissible) but bad
-	// subtrees are cut sooner.  Ignored at Workers == 1 — the bit-for-bit
-	// sequential determinism contract stays intact — and under
-	// Ablate.NoPortfolio.  Explorer work is not charged against MaxLeaves.
+	// subtrees are cut sooner.  Ignored at Workers == 1, so the bit-for-bit
+	// sequential determinism contract stays intact.  Explorer work is not
+	// charged against MaxLeaves.
 	Portfolio bool
 	// RefinePasses, when > 0, runs that many iterated gate-refinement
 	// passes over the search result before returning it.
@@ -296,15 +296,15 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	budget := p.Budget(opt.Penalty)
 	var (
 		seed *Solution
-		rs   *resumeState
+		rs   *ResumedSearch
 		err  error
 	)
 	if snap != nil {
-		rs, err = p.restoreSnapshot(snap)
+		rs, err = p.RestoreSearch(snap)
 		if err != nil {
 			return nil, err
 		}
-		seed = rs.seed
+		seed = rs.Seed
 	} else {
 		seed, err = p.heuristic1(budget)
 		if err != nil {
@@ -333,11 +333,11 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	if rs != nil {
 		// Continue, don't reset: counters, budgets and recorded failures
 		// all carry over from the crashed run.
-		sh.priorElapsed = rs.elapsed
-		sh.leafTickets.Store(rs.leavesUsed)
-		sh.failures = rs.failures
-		sh.splitDepth = rs.splitDepth
-		if sh.maxLeaves > 0 && rs.leavesUsed >= sh.maxLeaves {
+		sh.priorElapsed = rs.Elapsed
+		sh.leafTickets.Store(rs.LeavesUsed)
+		sh.failures = rs.Failures
+		sh.splitDepth = rs.SplitDepth
+		if sh.maxLeaves > 0 && rs.LeavesUsed >= sh.maxLeaves {
 			// The leaf budget was exhausted before the crash.
 			sh.markInterrupted()
 		}
@@ -345,18 +345,6 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	if opt.Share != nil {
 		sh.attachShare(opt.Share)
 		defer sh.detachShare()
-	}
-	if sh.cache != nil && opt.Algorithm == AlgHeuristic2 && rs == nil {
-		// The DFS re-reaches the seed's input state; memoize its greedy
-		// result so that leaf is answered from the cache.  (Not for
-		// AlgExact: its leaves run the exact descent, which a greedy
-		// result must never answer.  Not on resume: the restored incumbent
-		// need not equal the greedy result at its own state.)
-		states, err := p.gateStates(seed.State)
-		if err != nil {
-			return nil, err
-		}
-		sh.cache.put(states, leafGreedy, seed)
 	}
 	if ctx.Err() != nil {
 		// Already canceled: the incumbent is the answer (the legacy
@@ -406,7 +394,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	// goroutines (see portfolio.go).  Workers == 1 keeps all slots for the
 	// deterministic search, so the sequential contract is untouched.
 	stopExplorers := func() {}
-	if opt.Portfolio && !p.Ablate.NoPortfolio && opt.Workers > 1 && len(p.CC.PI) > 0 {
+	if opt.Portfolio && opt.Workers > 1 && len(p.CC.PI) > 0 {
 		ex := portfolioSlots(opt.Workers)
 		opt.Workers -= ex
 		stopExplorers = sh.startExplorers(ex, opt.Seed)

@@ -70,8 +70,9 @@ type Progress struct {
 	GateTrials int64 `json:"gate_trials"` // gate-tree version trials
 	Leaves     int64 `json:"leaves"`      // complete states evaluated
 	Pruned     int64 `json:"pruned"`      // branches cut by the leakage bound
-	// LeafCacheHits counts leaves answered from the gate-state-vector
-	// memoization instead of a fresh gate-tree descent.
+	// LeafCacheHits is always zero: every leaf runs its own gate-tree
+	// descent.  It stays because the counter list keeps its snapshot slot
+	// and callers read it by name.
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
 	// BatchSweeps counts 64-lane batched bound sweeps and BatchLanes the
 	// probe lanes they retired; BatchOccupancy is their ratio — the mean
@@ -154,7 +155,7 @@ type Stats struct {
 	GateTrials int64 `json:"gate_trials"`
 	Leaves     int64 `json:"leaves"`
 	Pruned     int64 `json:"pruned"`
-	// LeafCacheHits counts leaves answered from the leaf-dedup cache.
+	// LeafCacheHits is always zero (see Progress.LeafCacheHits).
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
 	// BatchSweeps / BatchLanes instrument the 64-lane batched bound
 	// evaluator (zero when it is disabled); BatchOccupancy is their ratio.
